@@ -550,11 +550,11 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
 
     from repro.bench.simthroughput import (
         CACHED_CONFIG,
+        CACHED_ITERS,
         FABRIC_SPEC,
         FULL_RANKS,
         HALO_DEGREE,
         SMOKE_RANKS,
-        _cached_iters,
         check_sweep,
         default_model,
         profile_drive,
@@ -589,7 +589,7 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
             return 2
     if args.profile:
         nranks = max(rank_counts)
-        iters = _cached_iters(nranks)
+        iters = CACHED_ITERS
         model = default_model()
         for booking in ("scalar", "batched"):
             print(f"profile — {booking} booking, {nranks} ranks, {iters} rounds")

@@ -180,9 +180,11 @@ class MemoryPool:
 
     TEMPI keeps a cache of intermediate device and pinned host buffers so
     repeated sends of the same datatype do not pay ``cudaMalloc`` /
-    ``cudaHostAlloc`` latency every iteration (Sec. 5).  The pool rounds
-    requests up to the next power of two and reuses returned buffers of the
-    same bucket.
+    ``cudaHostAlloc`` latency every iteration (Sec. 5).  Returned buffers
+    are filed under their size rounded up to the next power of two, and a
+    request reuses one from its own bucket that is large enough to hold it.
+    A bucket spans sizes up to 2x apart, so a 70 KiB buffer cannot answer a
+    72 KiB request even though both round up to 128 KiB.
     """
 
     def __init__(self) -> None:
@@ -198,11 +200,12 @@ class MemoryPool:
 
     def acquire(self, nbytes: int, kind: MemoryKind) -> Optional[Buffer]:
         """Return a cached buffer of at least ``nbytes`` of ``kind``, or None."""
-        bucket = self._bucket(nbytes)
-        stack = self._free.get((kind, bucket))
-        if stack:
-            self.hits += 1
-            return stack.pop()
+        stack = self._free.get((kind, self._bucket(nbytes)), [])
+        # Most recently released first: the fitting buffer nearest the top.
+        for index in range(len(stack) - 1, -1, -1):
+            if stack[index].nbytes >= nbytes:
+                self.hits += 1
+                return stack.pop(index)
         self.misses += 1
         return None
 

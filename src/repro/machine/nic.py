@@ -83,9 +83,7 @@ accounting, bit-for-bit).
 from __future__ import annotations
 
 import threading
-from itertools import chain
-from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -95,28 +93,6 @@ from repro.machine.topology import PathSpec, RailKey, ShareKey
 
 class NicError(ValueError):
     """An impossible reservation was requested."""
-
-
-class _BatchIndex(NamedTuple):
-    """Derived per-batch indexing state a frozen-shape reserve reuses.
-
-    Everything here is a pure function of the (validated) ``sources`` /
-    ``dests`` / ``wire_s`` arrays, so rebuilding it per call for the same
-    frozen arrays is waste: the Python index lists feed the scatter loops,
-    ``wire_list`` the pending-registration sweep, and the two
-    :func:`~operator.itemgetter` gathers read the port/link cursor dicts at
-    C speed (they raise ``KeyError`` for first-contact cursors, which the
-    kernel catches and answers with the defaulted slow gather).
-    """
-
-    src_list: list[int]
-    dst_list: list[list[int]]
-    key_list: list[tuple[int, int]]
-    wire_list: list[list[float]]
-    #: Gathers the per-source cursors (``_ports`` / ``_seqs``) in row order.
-    src_get: Callable[..., Any]
-    #: Gathers the per-link cursors in flattened row-major key order.
-    link_get: Callable[..., Any]
 
 
 def ledger_sum(values: Iterable[float], start: float = 0.0) -> float:
@@ -260,27 +236,6 @@ class _LedgerRing:
         if self._count < self.capacity:
             self._count += 1
 
-    def extend(self, rows: np.ndarray) -> None:
-        """Write a block of reservations, exactly as repeated :meth:`append`.
-
-        ``rows`` is a struct array of :data:`_LEDGER_DTYPE`; the ring ends in
-        the same state (contents, cursor and count) as appending the rows one
-        by one, but the writes land as at most two numpy slice assignments.
-        """
-        total = len(rows)
-        if total == 0:
-            return
-        keep = min(total, self.capacity)
-        # Row j of the block lands at slot (next + j) % capacity; only the
-        # last `capacity` rows survive, starting at the cursor below.
-        first_slot = (self._next + total - keep) % self.capacity
-        tail = min(keep, self.capacity - first_slot)
-        self._rows[first_slot:first_slot + tail] = rows[total - keep:total - keep + tail]
-        if keep > tail:
-            self._rows[: keep - tail] = rows[total - keep + tail:]
-        self._next = (self._next + total) % self.capacity
-        self._count = min(self.capacity, self._count + total)
-
     def _window(self) -> np.ndarray:
         """The resident rows, oldest first (a copy only when wrapped)."""
         if self._count < self.capacity:
@@ -375,17 +330,6 @@ class NicTimeline:
         #: with the bounded ring this is the timeline's whole variable-size
         #: footprint, which ``bench_sim_throughput.py`` reports.
         self.peak_pending = 0
-        #: Frozen batch-shape memos: when a caller re-posts the *same*
-        #: read-only arrays a fully validated vectorised batch already used,
-        #: their contents cannot have changed, so validation and the derived
-        #: Python index lists are reused instead of rebuilt (the steady state
-        #: of an iterative exchange).  Identity-keyed, single slot each.
-        self._batch_shape: Optional[
-            tuple[np.ndarray, np.ndarray, np.ndarray, _BatchIndex]
-        ] = None
-        self._ingest_shape: Optional[
-            tuple[np.ndarray, list[int], Callable[..., Any]]
-        ] = None
 
     # ---------------------------------------------------------------- reserve
     def reserve(
@@ -437,9 +381,9 @@ class NicTimeline:
     ) -> NicReservation:
         """One reservation with the lock already held (see :meth:`reserve`).
 
-        The single place the scalar injection rules live: :meth:`reserve`
-        wraps it per message and :meth:`reserve_batch`'s serialised fallback
-        row-loops it, so the two paths cannot drift.
+        The single place the injection rules live: :meth:`reserve` wraps it
+        per message and :meth:`reserve_batch` row-loops it, so the two entry
+        points cannot drift.
         """
         port = self._ports.get(source, 0.0)
         link_key = (source, dest)
@@ -532,52 +476,16 @@ class NicTimeline:
                             nbytes[i, j], ingest=ingest, path=paths[i][j])
 
         returning the per-message outcomes stacked into a
-        :class:`BatchReservation`.  Every cursor, counter, ledger row and
-        pending record lands bit-identical to that loop — the batch is a
-        *pricing kernel*, not a different model.
-
-        When the batch is flat (no paths), sources are distinct and each
-        row's destinations are distinct, the per-source recurrences are
-        independent, so the booking runs as ``k`` vectorised column steps
-        over all ``m`` rows — elementwise ``maximum``/multiply-add mirrors
-        of the scalar port/link rules, which numpy evaluates with the same
-        IEEE-754 double operations the scalar path performs.  Any coupling
-        the columns cannot express (shared rails or uplink ledgers, repeated
-        sources, repeated in-row destinations) falls back to serialising the
-        rows through :meth:`_reserve_one` under one lock acquisition — still
-        the exact scalar semantics, minus the per-message locking.
+        :class:`BatchReservation`.  The rows run through :meth:`_reserve_one`
+        — the one place the injection rules live — under a single lock
+        acquisition, so every cursor, counter, ledger row and pending record
+        lands bit-identical to that loop; the batch saves only the
+        per-message locking and call overhead.
 
         ``ready``/``wire_s``/``nbytes`` broadcast against ``dests``'s
         ``(m, k)`` shape; ``paths``, when given, is an ``m × k`` nested
         sequence of resolved :class:`~repro.machine.topology.PathSpec`.
         """
-        cached_shape = self._batch_shape
-        if (
-            paths is None
-            and cached_shape is not None
-            and sources is cached_shape[0]
-            and dests is cached_shape[1]
-            and wire_s is cached_shape[2]
-        ):
-            # Frozen-shape fast lane: these exact read-only arrays already
-            # passed validation and priced vectorised, and read-only contents
-            # cannot have changed — skip both and reuse the index lists.
-            src, dst, wire = cached_shape[0], cached_shape[1], cached_shape[2]
-            m, k = dst.shape
-            rdy = np.ascontiguousarray(
-                np.broadcast_to(np.asarray(ready, dtype=np.float64), (m, k))
-            )
-            nb = np.ascontiguousarray(
-                np.broadcast_to(np.asarray(nbytes, dtype=np.int64), (m, k))
-            )
-            out = BatchReservation(
-                np.empty((m, k)), np.empty((m, k)), np.empty((m, k)),
-                wire, np.empty((m, k), dtype=np.int64),
-            )
-            with self._lock:
-                return self._reserve_batch_vector(
-                    out, src, dst, rdy, wire, nb, ingest, cached_shape[3]
-                )
         src = np.asarray(sources, dtype=np.int64)
         dst = np.asarray(dests, dtype=np.int64)
         if src.ndim != 1 or dst.ndim != 2 or dst.shape[0] != src.shape[0]:
@@ -586,211 +494,40 @@ class NicTimeline:
                 f"{src.shape} and {dst.shape}"
             )
         m, k = dst.shape
-        rdy = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(ready, dtype=np.float64), (m, k))
+        rdy = np.broadcast_to(np.asarray(ready, dtype=np.float64), (m, k))
+        wire = np.ascontiguousarray(
+            np.broadcast_to(np.asarray(wire_s, dtype=np.float64), (m, k))
         )
-        wire_arr = np.asarray(wire_s, dtype=np.float64)
-        wire = (
-            wire_arr
-            if wire_arr.shape == (m, k) and wire_arr.flags.c_contiguous
-            else np.ascontiguousarray(np.broadcast_to(wire_arr, (m, k)))
-        )
-        nb = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(nbytes, dtype=np.int64), (m, k))
-        )
+        nb = np.broadcast_to(np.asarray(nbytes, dtype=np.int64), (m, k))
         if np.any(wire < 0):
             raise NicError("wire time must be non-negative for every message")
         if paths is not None and (
             len(paths) != m or any(len(row) != k for row in paths)
         ):
             raise NicError(f"paths must be an {m} x {k} nested sequence")
-        shape = BatchReservation(
-            np.empty((m, k)), np.empty((m, k)), np.empty((m, k)),
-            wire, np.empty((m, k), dtype=np.int64),
-        )
-        if m == 0 or k == 0:
-            return shape
-        routed = paths is not None and any(
-            spec is not None for row in paths for spec in row
-        )
+        no_paths = (None,) * k
         with self._lock:
-            src_list = src.tolist()
-            vectorizable = not routed and len(set(src_list)) == m
-            if vectorizable and k > 1:
-                in_row = np.sort(dst, axis=1)
-                if bool(np.any(in_row[:, 1:] == in_row[:, :-1])):
-                    vectorizable = False
-            if not vectorizable:
-                return self._reserve_batch_serial(
-                    shape, src, dst, rdy, wire, nb, ingest,
-                    paths if routed else None,
+            booked = [
+                self._reserve_one(source, dest, r, w, b, ingest, path)
+                for source, dest_row, ready_row, wire_row, nbytes_row, path_row in zip(
+                    src.tolist(), dst.tolist(), rdy.tolist(), wire.tolist(),
+                    nb.tolist(), paths if paths is not None else [no_paths] * m,
                 )
-            dst_list = dst.tolist()
-            # One key list serves both the cursor gather and the scatter in
-            # the kernel.
-            key_list = [(s, d) for s, row in zip(src_list, dst_list) for d in row]
-            index = _BatchIndex(
-                src_list, dst_list, key_list, wire.tolist(),
-                itemgetter(*src_list), itemgetter(*key_list),
-            )
-            if (
-                paths is None
-                and src is sources
-                and dst is dests
-                and wire is wire_s
-                and not src.flags.writeable
-                and not dst.flags.writeable
-                and not wire.flags.writeable
-            ):
-                self._batch_shape = (src, dst, wire, index)
-            return self._reserve_batch_vector(shape, src, dst, rdy, wire, nb, ingest, index)
-
-    def _reserve_batch_serial(
-        self,
-        out: BatchReservation,
-        src: np.ndarray,
-        dst: np.ndarray,
-        rdy: np.ndarray,
-        wire: np.ndarray,
-        nb: np.ndarray,
-        ingest: bool,
-        paths: Optional[Sequence[Sequence[Optional[PathSpec]]]],
-    ) -> BatchReservation:
-        """Row-loop a coupled batch through the scalar rules, lock held.
-
-        The fallback for batches the column scan cannot express (shared
-        rails/uplinks, repeated sources, repeated in-row destinations):
-        exactly the scalar loop, amortising only the lock acquisition.
-        """
-        m, k = dst.shape
-        for i in range(int(m)):
-            source = int(src[i])
-            row = paths[i] if paths is not None else None
-            for j in range(int(k)):
-                res = self._reserve_one(
-                    source, int(dst[i, j]), float(rdy[i, j]), float(wire[i, j]),
-                    int(nb[i, j]), ingest, row[j] if row is not None else None,
+                for dest, r, w, b, path in zip(
+                    dest_row, ready_row, wire_row, nbytes_row, path_row
                 )
-                out.start[i, j] = res.start
-                out.arrival[i, j] = res.arrival
-                out.stalled_s[i, j] = res.stalled_s
-                out.seq[i, j] = res.seq
-        return out
+            ]
 
-    def _reserve_batch_vector(
-        self,
-        out: BatchReservation,
-        src: np.ndarray,
-        dst: np.ndarray,
-        rdy: np.ndarray,
-        wire: np.ndarray,
-        nb: np.ndarray,
-        ingest: bool,
-        index: _BatchIndex,
-    ) -> BatchReservation:
-        """Price a flat, decoupled batch as ``k`` column steps, lock held.
+        def column(field: int, dtype: type = np.float64) -> np.ndarray:
+            return np.array([res[field] for res in booked], dtype=dtype).reshape(m, k)
 
-        Rows (sources) are independent: each source's port recurrence
-        ``start_j = max(ready_j, port, link_j); port = start_j + overlap *
-        wire_j`` advances elementwise across all rows per column, performing
-        the same double-precision operations the scalar loop performs per
-        message — hence bit-identical cursors.  Stall seconds fold in
-        row-major order through :func:`ledger_sum`, ledger rows block-append
-        through :meth:`_LedgerRing.extend`, and pending records register in
-        row-major order, so every counter and fingerprint matches the loop.
-        """
-        m, k = dst.shape
-        src_list, dst_list, key_list = index[:3]
-        links = self._links
-        try:
-            # The itemgetter gathers read every cursor in one C call; a
-            # KeyError means some cursor has never been touched, answered
-            # by the defaulted per-key gather below.
-            ports0 = np.asarray(index.src_get(self._ports), dtype=np.float64).reshape(m)
-        except KeyError:
-            ports0 = np.fromiter(
-                (self._ports.get(s, 0.0) for s in src_list), dtype=np.float64, count=m
-            )
-        try:
-            link0 = np.asarray(index.link_get(links), dtype=np.float64).reshape(m, k)
-        except KeyError:
-            link0 = np.fromiter(
-                (links.get(kk, 0.0) for kk in key_list), dtype=np.float64, count=m * k
-            ).reshape(m, k)
-        starts = out.start
-        overlap = self.wire_overlap
-        port = ports0
-        for j in range(k):
-            col = np.maximum(np.maximum(rdy[:, j], port), link0[:, j])
-            starts[:, j] = col
-            port = col + overlap * wire[:, j]
-        arrivals = np.add(starts, wire, out=out.arrival)
-        for s, free in zip(src_list, port.tolist()):
-            self._ports[s] = free
-        arr_list = arrivals.tolist()
-        links.update(zip(key_list, chain.from_iterable(arr_list)))
-        self.reservations += m * k
-        try:
-            seq0 = np.asarray(index.src_get(self._seqs), dtype=np.int64).reshape(m)
-        except KeyError:
-            seq0 = np.fromiter(
-                (self._seqs.get(s, 0) for s in src_list), dtype=np.int64, count=m
-            )
-        seqs = np.add(seq0[:, None], np.arange(k, dtype=np.int64)[None, :], out=out.seq)
-        for s, base in zip(src_list, seq0.tolist()):
-            self._seqs[s] = base + k
-        stalled = starts - rdy
-        positive = stalled > 0
-        self.stalls += int(np.count_nonzero(positive))
-        # Row-major fold of the positive stall seconds — the same adds in
-        # the same order as the scalar loop's accumulation.
-        self.stalled_s = ledger_sum(stalled[positive].tolist(), start=self.stalled_s)
-        if self.ledger_limit:
-            rows = np.empty(m * k, dtype=_LEDGER_DTYPE)
-            rows["source"] = np.repeat(src, k)
-            rows["dest"] = dst.ravel()
-            rows["start"] = starts.ravel()
-            rows["arrival"] = arrivals.ravel()
-            rows["nbytes"] = nb.ravel()
-            self._ledger.extend(rows)
-        if ingest and self.pending_limit:
-            # Inlined row-major _register_pending loop.  Within one batch the
-            # advisory total only grows (evictions cancel an insert in the
-            # same step), so the per-insert high-water check of the scalar
-            # path reduces to one final comparison — bit-identical books.
-            start_list = starts.tolist()
-            wire_list = index.wire_list
-            seq_list = seqs.tolist()
-            pending_book = self._pending
-            limit = self.pending_limit
-            pending_count = self._pending_total
-            # tuple.__new__ builds the record directly from the field tuple —
-            # the same tuple the NamedTuple's generated __new__ would build
-            # (rail explicitly None), minus one Python call per message.
-            record_new, record_cls = tuple.__new__, IngestRecord
-            for i, s in enumerate(src_list):
-                # zip walks the five row lists in C, in the same row-major
-                # message order the indexed loop visited.
-                for st, d, w, a, sq in zip(
-                    start_list[i], dst_list[i], wire_list[i], arr_list[i], seq_list[i]
-                ):
-                    if w <= 0:
-                        continue
-                    bucket = pending_book.get(d)
-                    if bucket is None:
-                        bucket = pending_book[d] = {}
-                    key = (st, s, sq)
-                    if key not in bucket:
-                        pending_count += 1
-                    bucket[key] = record_new(record_cls, (st, s, sq, w, a, None))
-                    if len(bucket) > limit:
-                        del bucket[min(bucket)]
-                        pending_count -= 1
-            self._pending_total = pending_count
-            if pending_count > self.peak_pending:
-                self.peak_pending = pending_count
-        np.maximum(stalled, 0.0, out=out.stalled_s)
-        return out
+        return BatchReservation(
+            start=column(0),
+            arrival=column(1),
+            stalled_s=column(2),
+            wire_s=wire,
+            seq=column(4, np.int64),
+        )
 
     # ----------------------------------------------------------------- ingest
     def ingest(self, dest: int, records: Sequence[IngestRecord]) -> list[float]:
@@ -812,9 +549,9 @@ class NicTimeline:
     def _ingest_locked(self, dest: int, records: Sequence[IngestRecord]) -> list[float]:
         """One ingestion batch with the lock already held (see :meth:`ingest`).
 
-        The single place the scalar ingestion rules live: :meth:`ingest`
-        wraps it per batch and :meth:`ingest_batch_vec`'s serialised fallback
-        row-loops it, so the two paths cannot drift.
+        The single place the ingestion rules live: :meth:`ingest` wraps it
+        per batch and :meth:`ingest_batch_vec` row-loops it, so the two entry
+        points cannot drift.
         """
         landings = {record.key: record.arrival for record in records}
         port = self._ingest_ports.get(dest, 0.0)
@@ -877,165 +614,37 @@ class NicTimeline:
     ) -> np.ndarray:
         """Commit ``m`` destinations' arrival batches — ``k`` each — at once.
 
-        The columnar mirror of calling :meth:`ingest` once per destination
-        in input order, with destination ``i``'s records taken column-wise
-        from row ``i`` of the ``(m, k)`` field arrays (rail-free records
-        only — routed landings go through :meth:`ingest`).  Returns the
-        ``(m, k)`` landing times in input column order, and leaves ports,
-        counters and the pending ledger bit-identical to the scalar calls.
-
-        When destinations are distinct, every wire time is positive and no
-        row holds duplicate ``(post_time, source, seq)`` keys, each row is
-        lexsorted into the deterministic service order and the port
-        recurrence ``landing = max(arrival, port + wire); port =
-        max(post_time, port) + overlap * wire`` advances as ``k`` vectorised
-        column steps — the same double operations as the scalar serve loop.
-        Anything else (an incast sharing a destination row, zero-wire
-        passthroughs, colliding keys) falls back to serialising rows through
-        :meth:`_ingest_locked` under the one lock acquisition.
+        Exactly :meth:`ingest` once per destination in input order, with
+        destination ``i``'s records taken column-wise from row ``i`` of the
+        ``(m, k)`` field arrays (rail-free records only — routed landings go
+        through :meth:`ingest`), served through :meth:`_ingest_locked` under
+        one lock acquisition.  Returns the ``(m, k)`` landing times in input
+        column order, and leaves ports, counters and the pending ledger
+        bit-identical to the scalar calls.
         """
         dst = np.asarray(dests, dtype=np.int64)
-        post = np.ascontiguousarray(np.asarray(post_time, dtype=np.float64))
-        src = np.asarray(sources, dtype=np.int64)
-        seq = np.asarray(seqs, dtype=np.int64)
-        wire = np.ascontiguousarray(np.asarray(wire_s, dtype=np.float64))
-        arr = np.ascontiguousarray(np.asarray(arrival, dtype=np.float64))
+        fields = [
+            np.asarray(post_time, dtype=np.float64),
+            np.asarray(sources, dtype=np.int64),
+            np.asarray(seqs, dtype=np.int64),
+            np.asarray(wire_s, dtype=np.float64),
+            np.asarray(arrival, dtype=np.float64),
+        ]
+        post = fields[0]
         if dst.ndim != 1 or post.ndim != 2 or post.shape[0] != dst.shape[0]:
             raise NicError(
                 f"batch shapes must be dests (m,) and fields (m, k), got "
                 f"{dst.shape} and {post.shape}"
             )
         m, k = post.shape
-        for field in (src, seq, wire, arr):
-            if field.shape != (m, k):
-                raise NicError(f"ingest batch fields must all be (m, k)={m, k}")
+        if any(field.shape != (m, k) for field in fields):
+            raise NicError(f"ingest batch fields must all be (m, k)={m, k}")
         landings = np.empty((m, k), dtype=np.float64)
-        if m == 0 or k == 0:
-            return landings
+        rows = zip(dst.tolist(), *(field.tolist() for field in fields))
         with self._lock:
-            cached_dests = self._ingest_shape
-            if cached_dests is not None and dests is cached_dests[0]:
-                # Frozen-shape fast lane: the same read-only destination
-                # array vectorised before, so uniqueness holds and the
-                # Python list and cursor gather are reused.
-                dst_list = cached_dests[1]
-                port_get: Optional[Callable[..., Any]] = cached_dests[2]
-                unique = True
-            else:
-                dst_list = dst.tolist()
-                port_get = None
-                unique = len(set(dst_list)) == m
-                if (
-                    unique
-                    and dst is dests
-                    and not dst.flags.writeable
-                ):
-                    port_get = itemgetter(*dst_list)
-                    self._ingest_shape = (dst, dst_list, port_get)
-            if unique and bool(np.all(wire > 0)):
-                order = np.lexsort((seq, src, post), axis=-1)
-                post_sorted = np.take_along_axis(post, order, axis=1)
-                src_sorted = np.take_along_axis(src, order, axis=1)
-                seq_sorted = np.take_along_axis(seq, order, axis=1)
-                if k == 1 or not bool(
-                    np.any(
-                        (post_sorted[:, 1:] == post_sorted[:, :-1])
-                        & (src_sorted[:, 1:] == src_sorted[:, :-1])
-                        & (seq_sorted[:, 1:] == seq_sorted[:, :-1])
-                    )
-                ):
-                    return self._ingest_batch_vector(
-                        landings, dst_list, order, post_sorted, src_sorted,
-                        seq_sorted,
-                        np.take_along_axis(wire, order, axis=1),
-                        np.take_along_axis(arr, order, axis=1),
-                        port_get,
-                    )
-            for i, dest in enumerate(dst_list):
-                records = [
-                    IngestRecord(
-                        float(post[i, j]), int(src[i, j]), int(seq[i, j]),
-                        float(wire[i, j]), float(arr[i, j]),
-                    )
-                    for j in range(k)
-                ]
+            for i, (dest, *columns) in enumerate(rows):
+                records = [IngestRecord(*record) for record in zip(*columns)]
                 landings[i] = self._ingest_locked(dest, records)
-            return landings
-
-    def _ingest_batch_vector(
-        self,
-        landings: np.ndarray,
-        dst_list: list[int],
-        order: np.ndarray,
-        post_sorted: np.ndarray,
-        src_sorted: np.ndarray,
-        seq_sorted: np.ndarray,
-        wire_sorted: np.ndarray,
-        arr_sorted: np.ndarray,
-        port_get: Optional[Callable[..., Any]] = None,
-    ) -> np.ndarray:
-        """Serve decoupled ingestion rows as column steps, lock held.
-
-        Rows (destinations) are independent and arrive pre-sorted into the
-        deterministic ``(post_time, source, seq)`` service order; the port
-        recurrence advances elementwise per column exactly as the scalar
-        serve loop does per record, then landings scatter back to input
-        column order through the sort permutation.
-        """
-        m, k = post_sorted.shape
-        port = None
-        if port_get is not None:
-            try:
-                port = np.asarray(port_get(self._ingest_ports), dtype=np.float64).reshape(m)
-            except KeyError:
-                port = None
-        if port is None:
-            port = np.fromiter(
-                (self._ingest_ports.get(d, 0.0) for d in dst_list),
-                dtype=np.float64,
-                count=m,
-            )
-        served = np.empty((m, k), dtype=np.float64)
-        overlap = self.wire_overlap
-        for j in range(k):
-            col_wire = wire_sorted[:, j]
-            served[:, j] = np.maximum(arr_sorted[:, j], port + col_wire)
-            port = np.maximum(post_sorted[:, j], port) + overlap * col_wire
-        self.ingests += m * k
-        stalled = served - arr_sorted
-        positive = stalled > 0
-        self.ingest_stalls += int(np.count_nonzero(positive))
-        # Row-major fold over the service-ordered stalls — the same adds
-        # in the same order as the per-destination scalar batches.
-        self.ingest_stalled_s = ledger_sum(
-            stalled[positive].tolist(), start=self.ingest_stalled_s
-        )
-        post_list = post_sorted.tolist()
-        src_list = src_sorted.tolist()
-        seq_list = seq_sorted.tolist()
-        pending_book = self._pending
-        ingest_ports = self._ingest_ports
-        dropped = 0
-        for i, (dest, free) in enumerate(zip(dst_list, port.tolist())):
-            row_pending = pending_book.get(dest)
-            if row_pending:
-                # zip materialises each (post, source, seq) key tuple in C,
-                # in the same sorted service order as the indexed loop.
-                for pkey in zip(post_list[i], src_list[i], seq_list[i]):
-                    if row_pending.pop(pkey, None) is not None:
-                        dropped += 1
-            ingest_ports[dest] = free
-            if row_pending:
-                stale = [
-                    key
-                    for key, record in row_pending.items()
-                    if record.arrival + overlap * record.wire_s <= free
-                ]
-                for key in stale:
-                    del row_pending[key]
-                dropped += len(stale)
-        self._pending_total -= dropped
-        np.put_along_axis(landings, order, served, axis=1)
         return landings
 
     def ingest_preview(self, dest: int, arrival: float, wire_s: float) -> float:

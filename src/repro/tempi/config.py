@@ -129,19 +129,6 @@ class TempiConfig:
     batch_eager_sends: bool = True
     #: Most plans one batch may coalesce before it is flushed.
     batch_max_messages: int = 8
-    #: Price homogeneous exchanges through the vectorized batch-booking fast
-    #: path: when every post stage of a plan shares one ``(nbytes, method)``
-    #: equivalence class, selection prices one representative (replaying the
-    #: per-member charges) and the progress engine books all the wire slots
-    #: in one :meth:`~repro.machine.nic.NicTimeline.reserve_batch` call.
-    #: Priced results are bit-identical to the scalar path (Hypothesis-pinned);
-    #: the knob exists as the ablation lever and for sanitized runs, which
-    #: fall back to scalar booking automatically.
-    batch_booking: bool = True
-    #: Fewest same-class messages a plan must post before batch booking
-    #: engages — below it the grouping bookkeeping costs more than the
-    #: per-message calls it saves.
-    batch_min_messages: int = 4
     #: Reuse streams, intermediate buffers and model query results (Sec. 5).
     use_cache: bool = True
     #: Reuse compiled :class:`~repro.tempi.plan.MessagePlan` templates for
@@ -209,10 +196,6 @@ class TempiConfig:
             )
         if self.plan_cache_size < 1:
             raise ValueError(f"plan_cache_size must be >= 1, got {self.plan_cache_size}")
-        if self.batch_min_messages < 1:
-            raise ValueError(
-                f"batch_min_messages must be >= 1, got {self.batch_min_messages}"
-            )
         if self.selection_memo_size < 1:
             raise ValueError(
                 f"selection_memo_size must be >= 1, got {self.selection_memo_size}"

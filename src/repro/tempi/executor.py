@@ -311,22 +311,22 @@ class PlanExecutor:
             return self.engine.message_time(nbytes, peer, device)
         return self.comm._message_time(nbytes, peer, device)
 
-    def _batchable_exchange(self, plan: MessagePlan) -> bool:
-        """True when a plan's posts form one batch-bookable equivalence class.
+    def _batchable_exchange(self, booked: list) -> bool:
+        """True when an exchange's packed posts book as one NIC batch.
 
-        Requires an engine whose gates pass (knob on, shared timeline, plain
-        NIC, enough messages — :meth:`~repro.tempi.progress.ProgressEngine.batch_ready`)
-        and a homogeneous post set: every post the same ``nbytes``, so one
-        class prices the whole exchange.  Heterogeneous plans keep the
-        scalar per-post loop, bit-identically.
+        ``booked`` holds one ``(post, payload, ready, wire)`` row per post.
+        Requires at least two posts, an engine whose timeline may batch
+        (:attr:`~repro.tempi.progress.ProgressEngine.batch_capable`) and a
+        homogeneous post set — every post the same ``nbytes`` from the same
+        staging kind, so one class routes and prices the whole exchange.
         """
-        posts = plan.post_stages
-        if len(posts) < 2 or self.engine is None:
+        if len(booked) < 2 or self.engine is None or not self.engine.batch_capable:
             return False
-        if not self.engine.batch_ready(len(posts)):
-            return False
-        nbytes = posts[0].nbytes
-        return all(post.nbytes == nbytes for post in posts)
+        post0, payload0 = booked[0][:2]
+        return all(
+            post.nbytes == post0.nbytes and payload.is_device == payload0.is_device
+            for post, payload, _, _ in booked
+        )
 
     def _run_local(self, plan: MessagePlan, staging: _StagingTracker) -> None:
         """Self-sections bounce through device staging without the wire."""
@@ -473,65 +473,37 @@ class PlanExecutor:
         try:
             if self.overlap:
                 window = self._window()
-                if self._batchable_exchange(plan):
-                    # Batched booking: pack every stage first (same streams,
-                    # same order), then price the whole homogeneous exchange
-                    # through one NIC batch call and post the envelopes.
-                    # Reservations never read pack state or the clock — the
-                    # ready times travel explicitly — so regrouping them
-                    # after the packs leaves every priced time bit-identical
-                    # to the interleaved scalar loop.
-                    posts = plan.post_stages
-                    payloads = []
-                    readies = []
-                    wires = []
-                    for post in posts:
-                        if id(post.pack) not in packed:
-                            stream = self.cache.get_stream()
-                            streams.append(stream)
-                        else:
-                            stream = post.pack.stream
-                        payload, ready = pack_once(post.pack, stream)
-                        payloads.append(payload)
-                        readies.append(ready)
-                        wires.append(
-                            self._wire_time(post.nbytes, post.peer, payload.is_device)
-                        )
-                    if len({payload.is_device for payload in payloads}) == 1:
-                        slots = self.engine.reserve_wire_batch(
-                            [post.peer for post in posts],
-                            readies,
-                            wires,
-                            posts[0].nbytes,
-                            device=payloads[0].is_device,
-                        )
+                booked = []
+                for post in plan.post_stages:
+                    if id(post.pack) not in packed:
+                        stream = self.cache.get_stream()
+                        streams.append(stream)
                     else:
-                        # Mixed staging kinds route differently per message —
-                        # not one equivalence class after all; book scalar.
-                        slots = [
-                            window.reserve_wire(
-                                post.peer, ready, wire, post.nbytes,
-                                device=payload.is_device,
-                            )
-                            for post, payload, ready, wire in zip(
-                                posts, payloads, readies, wires
-                            )
-                        ]
-                    for post, payload, slot in zip(posts, payloads, slots):
-                        self._post_slot(post.peer, tag, payload, post.nbytes, slot)
+                        stream = post.pack.stream
+                    payload, ready = pack_once(post.pack, stream)
+                    wire = self._wire_time(post.nbytes, post.peer, payload.is_device)
+                    booked.append((post, payload, ready, wire))
+                # Reservations never read pack state or the clock — the ready
+                # times travel explicitly — so booking after every pack prices
+                # bit-identically to interleaving the two.  Only the booking
+                # call differs: a homogeneous exchange books in one NIC batch.
+                if self._batchable_exchange(booked):
+                    slots = self.engine.reserve_wire_batch(
+                        [post.peer for post, _, _, _ in booked],
+                        [ready for _, _, ready, _ in booked],
+                        [wire for _, _, _, wire in booked],
+                        booked[0][0].nbytes,
+                        device=booked[0][1].is_device,
+                    )
                 else:
-                    for post in plan.post_stages:
-                        if id(post.pack) not in packed:
-                            stream = self.cache.get_stream()
-                            streams.append(stream)
-                        else:
-                            stream = post.pack.stream
-                        payload, ready = pack_once(post.pack, stream)
-                        wire = self._wire_time(post.nbytes, post.peer, payload.is_device)
-                        slot = window.reserve_wire(
+                    slots = [
+                        window.reserve_wire(
                             post.peer, ready, wire, post.nbytes, device=payload.is_device
                         )
-                        self._post_slot(post.peer, tag, payload, post.nbytes, slot)
+                        for post, payload, ready, wire in booked
+                    ]
+                for (post, payload, _, _), slot in zip(booked, slots):
+                    self._post_slot(post.peer, tag, payload, post.nbytes, slot)
                 if self.stats is not None:
                     self.stats.stages_overlapped += len(plan.pack_stages)
             else:

@@ -252,8 +252,6 @@ class TempiCommunicator:
             nic_mode=config.nic,
             batching=config.batch_eager_sends and config.overlap,
             batch_max_messages=config.batch_max_messages,
-            batch_booking=config.batch_booking,
-            batch_min_messages=config.batch_min_messages,
             nic=self._sanitizer_view,
             topology=topology,
         )
@@ -292,12 +290,6 @@ class TempiCommunicator:
             and hasattr(self._selector, "select_many")
         )
         self._clock = comm.clock
-        #: Single-slot compile memo: the last plan-cache hit's raw arguments
-        #: (by identity), built cache key, buffers and template, pinned to
-        #: the cache generation that proved the entry present.  A steady
-        #: workload re-issuing the same collective revalidates by identity
-        #: instead of rebuilding the key — see :meth:`_compile_collective`.
-        self._compile_memo: Optional[tuple] = None
 
     #: Fall-through operations that can block on (or observe) other ranks'
     #: traffic.  They must flush the engine's deferred sends first: a system
@@ -983,7 +975,7 @@ class TempiCommunicator:
         stats.collective_hits += 1
         selector = self._selector
         methods: Optional[tuple] = None
-        if cfg.batch_booking and self._selector_batchable:
+        if self._selector_batchable:
             # Batched replay prices one representative per equivalence class
             # and replays the per-member charges — bit-identical clocks,
             # fewer calls.  Single-class templates (every homogeneous halo
@@ -1015,7 +1007,7 @@ class TempiCommunicator:
                         nonblocking=template.nonblocking,
                     )
         if methods is None:
-            methods = tuple(template.replay(selector, batched=cfg.batch_booking))
+            methods = tuple(template.replay(selector))
         plan = template.materialize(methods, send, recv)
         if methods == template.methods:
             # Steady state: the replay confirmed the recorded transcript, so
@@ -1026,34 +1018,6 @@ class TempiCommunicator:
         else:
             self._count_methods(plan)
         return plan
-
-    def _memoize_compile(
-        self, op, peers, sendbuf, sendcounts, senddispls, sendtypes,
-        recvbuf, recvcounts, recvdispls, recvtypes, nonblocking,
-        key, send, recv, template,
-    ) -> None:
-        """Pin one cached compile's raw arguments for identity revalidation.
-
-        Only argument shapes whose identity *implies* key equality are
-        memoized: tuples (immutable, so `is` means equal contents) and
-        uniform :class:`Datatype` arguments (whose signature names exactly
-        the ``(datatype, attachment)`` identities the probe re-checks).
-        Lists or exotic count objects could mutate under an unchanged
-        identity, so they always take the full key-building path.
-        """
-        if (
-            type(peers) is tuple
-            and type(sendcounts) is tuple and type(senddispls) is tuple
-            and type(recvcounts) is tuple and type(recvdispls) is tuple
-            and isinstance(sendtypes, Datatype)
-            and isinstance(recvtypes, Datatype)
-        ):
-            self._compile_memo = (
-                op, nonblocking, peers, sendbuf, sendcounts, senddispls,
-                sendtypes, sendtypes.attachment, recvbuf, recvcounts,
-                recvdispls, recvtypes, recvtypes.attachment, key,
-                send, recv, template, self.plan_cache.generation,
-            )
 
     def _compile_collective(
         self,
@@ -1086,36 +1050,6 @@ class TempiCommunicator:
             return None
         if not (self.config.enabled and self.config.datatype_handling):
             return None
-        memo = self._compile_memo
-        if (
-            memo is not None
-            # The generation pin proves no put/evict/clear touched the cache
-            # since the memo was taken, so the memoized template is still the
-            # entry the rebuilt key would find; the identity checks prove the
-            # rebuilt key would be equal (every component is either immutable
-            # and identical, or — for the datatype signatures — named by
-            # exactly the (datatype, attachment) identities compared here).
-            and memo[17] == self.plan_cache.generation
-            and memo[0] == op
-            and memo[1] == nonblocking
-            and memo[2] is peers
-            and memo[3] is sendbuf
-            and memo[4] is sendcounts
-            and memo[5] is senddispls
-            and memo[6] is sendtypes
-            and memo[7] is sendtypes.attachment
-            and memo[8] is recvbuf
-            and memo[9] is recvcounts
-            and memo[10] is recvdispls
-            and memo[11] is recvtypes
-            and memo[12] is recvtypes.attachment
-            and self.config.plan_cache
-        ):
-            # Same bookkeeping as the full hit path below: the hit count,
-            # the key's LRU refresh, then the fully charged materialization.
-            self.plan_cache.touch(memo[13])
-            self.tempi.stats.plan_cache_hits += 1
-            return self._plan_from_template(memo[16], memo[14], memo[15])
         send = as_buffer(sendbuf)
         recv = as_buffer(recvbuf)
         key = retained = None
@@ -1131,11 +1065,6 @@ class TempiCommunicator:
                 key, retained, template = None, (), None
             if template is not None:
                 self.tempi.stats.plan_cache_hits += 1
-                self._memoize_compile(
-                    op, peers, sendbuf, sendcounts, senddispls, sendtypes,
-                    recvbuf, recvcounts, recvdispls, recvtypes, nonblocking,
-                    key, send, recv, template,
-                )
                 return self._plan_from_template(template, send, recv)
             if key is not None:
                 self.tempi.stats.plan_cache_misses += 1
@@ -1178,13 +1107,6 @@ class TempiCommunicator:
                 retained=retained,
             )
             self.plan_cache.put(key, template)
-            # The put bumped the generation; memoize against the new one so
-            # the very next repeat of this shape hits the identity lane.
-            self._memoize_compile(
-                op, peers, sendbuf, sendcounts, senddispls, sendtypes,
-                recvbuf, recvcounts, recvdispls, recvtypes, nonblocking,
-                key, send, recv, template,
-            )
         self._count_methods(plan)
         return plan
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import count as _count
 from typing import Hashable, Optional, Sequence
 
 from repro.gpu.memory import Buffer, MemoryKind
@@ -553,21 +552,19 @@ class PlanTemplate:
             object.__setattr__(self, "_class_runs", runs)
         return runs
 
-    def replay(self, select: MethodSelector, *, batched: bool = False) -> list[PackMethod]:
+    def replay(self, select: MethodSelector) -> list[PackMethod]:
         """Re-run the recorded selector calls (same order, same charges).
 
-        With ``batched`` and a peer-invariant selector, consecutive transcript
-        runs over one equivalence class — same ``nbytes``, same block length —
-        collapse into a single :meth:`~repro.tempi.selection.ModelSelector.select_many`
+        With a peer-invariant selector, consecutive transcript runs over one
+        equivalence class — same ``nbytes``, same block length — collapse
+        into a single :meth:`~repro.tempi.selection.ModelSelector.select_many`
         call, which prices the representative once and replays the per-member
         charges, so the returned methods *and* the priced clock match the
         scalar replay bit for bit.  Peer-dependent selectors (or selectors
         without ``select_many``) always take the scalar loop.
         """
-        if (
-            not batched
-            or not getattr(select, "peer_invariant", False)
-            or not hasattr(select, "select_many")
+        if not getattr(select, "peer_invariant", False) or not hasattr(
+            select, "select_many"
         ):
             return [select(packer, nbytes, peer) for packer, nbytes, peer in self.selections]
         methods: list[PackMethod] = []
@@ -683,22 +680,11 @@ class PlanCache:
     ``clear()`` is the explicit invalidation hook.
     """
 
-    #: Process-wide generation source: every mutation of *any* cache takes a
-    #: fresh value, so a generation captured from one cache instance can
-    #: never collide with another instance's (or a later state of its own).
-    _generations = _count()
-
     def __init__(self, size: int = 256) -> None:
         if size < 1:
             raise PlanError(f"plan cache size must be >= 1, got {size}")
         self.size = size
         self._entries: "OrderedDict[Hashable, PlanTemplate]" = OrderedDict()
-        #: Changes on every ``put``/``clear`` (the only ways an entry can
-        #: appear, move out by eviction, or vanish).  A caller that captured
-        #: ``(key, template, generation)`` may treat an unchanged generation
-        #: as proof the entry is still cached — the interposer's single-slot
-        #: compile memo rides on this.
-        self.generation = next(PlanCache._generations)
 
     def get(self, key: Hashable) -> Optional[PlanTemplate]:
         """The template for ``key`` (refreshing its LRU position), or None."""
@@ -707,22 +693,16 @@ class PlanCache:
             self._entries.move_to_end(key)
         return template
 
-    def touch(self, key: Hashable) -> None:
-        """Refresh a *known-present* key's LRU position (memoized hits)."""
-        self._entries.move_to_end(key)
-
     def put(self, key: Hashable, template: PlanTemplate) -> None:
         """Retain ``template``, evicting the least recently used beyond size."""
         self._entries[key] = template
         self._entries.move_to_end(key)
         while len(self._entries) > self.size:
             self._entries.popitem(last=False)
-        self.generation = next(PlanCache._generations)
 
     def clear(self) -> None:
         """Drop every template (explicit invalidation)."""
         self._entries.clear()
-        self.generation = next(PlanCache._generations)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -173,8 +173,6 @@ class ProgressEngine:
         nic_mode: str = "duplex",
         batching: bool = True,
         batch_max_messages: int = 8,
-        batch_booking: bool = True,
-        batch_min_messages: int = 4,
         wire_overlap: float = DEFAULT_WIRE_OVERLAP,
         nic: Optional[NicTimeline] = None,
         topology: Optional[Topology] = None,
@@ -189,8 +187,6 @@ class ProgressEngine:
             )
         if batch_max_messages < 1:
             raise ProgressError("batch_max_messages must be at least 1")
-        if batch_min_messages < 1:
-            raise ProgressError("batch_min_messages must be at least 1")
         self.comm = comm
         self.cache = cache
         self.stats = stats
@@ -204,11 +200,6 @@ class ProgressEngine:
         #: shared timeline prices them; per-plan mode is the PR-2 ablation.
         self.batching = bool(batching) and mode == "shared"
         self.batch_max_messages = batch_max_messages
-        #: Vectorized batch booking for homogeneous exchanges
-        #: (``TempiConfig.batch_booking``): gated again per exchange by
-        #: :meth:`batch_ready`, and structurally by :attr:`batch_capable`.
-        self.batch_booking = bool(batch_booking)
-        self.batch_min_messages = batch_min_messages
         self.eager_threshold = comm.network.machine.eager_threshold
         #: Topology the engine routes against.  ``None`` keeps the flat
         #: pre-topology books (no path resolution at all); a flat
@@ -316,24 +307,15 @@ class ProgressEngine:
 
     @property
     def batch_capable(self) -> bool:
-        """True when batched booking may engage at all.
+        """True when a homogeneous exchange may book as one batch.
 
-        Requires the knob, the shared timeline, and a *plain*
+        Requires the shared timeline and a *plain*
         :class:`~repro.machine.nic.NicTimeline`: under the clock sanitizer the
         engine holds a recording proxy whose audit hooks wrap the scalar
         entry points, and a batch call would silently bypass them — so
-        sanitized runs (and any other instrumented timeline) fall back to
-        scalar booking automatically.
+        sanitized runs (and any other instrumented timeline) book scalar.
         """
-        return (
-            self.batch_booking
-            and self.shared
-            and isinstance(self.nic, NicTimeline)
-        )
-
-    def batch_ready(self, count: int) -> bool:
-        """True when a ``count``-message exchange should book as one batch."""
-        return count >= self.batch_min_messages and self.batch_capable
+        return self.shared and isinstance(self.nic, NicTimeline)
 
     def reserve_wire_batch(
         self,
@@ -347,10 +329,10 @@ class ProgressEngine:
         """Reserve one homogeneous exchange's wire slots in a single call.
 
         Exactly :meth:`reserve_wire` per entry — same cursors, same stall
-        accounting, same envelope identities — but priced through
-        :meth:`~repro.machine.nic.NicTimeline.reserve_batch`, which runs the
-        scalar rules as numpy column steps (or a serialised in-lock loop when
-        the route couples messages).  Callers gate on :meth:`batch_ready`.
+        accounting, same envelope identities — but priced through one
+        :meth:`~repro.machine.nic.NicTimeline.reserve_batch` call, which runs
+        the scalar rules under a single lock acquisition.  Callers gate on
+        :attr:`batch_capable`.
         """
         if not self.shared:
             return [

@@ -143,6 +143,19 @@ class TestMemoryPool:
         assert MemoryPool._bucket(1024) == 1024
         assert MemoryPool._bucket(1025) == 2048
 
+    def test_bucket_reuse_needs_a_buffer_that_fits(self):
+        pool = MemoryPool()
+        small = HostBuffer(70 * 1024, MemoryKind.HOST_PINNED)
+        large = HostBuffer(100 * 1024, MemoryKind.HOST_PINNED)
+        pool.release(large)
+        pool.release(small)
+        # Same 128 KiB bucket: the most recent fitting buffer answers, and a
+        # request only ever gets a buffer that can hold it.
+        assert pool.acquire(72 * 1024, MemoryKind.HOST_PINNED) is large
+        assert pool.acquire(72 * 1024, MemoryKind.HOST_PINNED) is None
+        assert pool.acquire(64 * 1024 + 1, MemoryKind.HOST_PINNED) is small
+        assert (pool.hits, pool.misses) == (2, 1)
+
     def test_kind_is_part_of_key(self):
         pool = MemoryPool()
         pool.release(HostBuffer(64, MemoryKind.HOST_PINNED))

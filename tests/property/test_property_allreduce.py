@@ -103,7 +103,7 @@ def clock_cases(draw):
     count = draw(st.integers(min_value=1, max_value=4096))
     algorithm = draw(st.sampled_from(_ALGORITHMS))
     perturbation = draw(
-        st.sampled_from(("plan_cache", "batch_booking", "nic"))
+        st.sampled_from(("plan_cache", "nic"))
     )
     seed = draw(st.integers(min_value=0, max_value=2**31))
     return nranks, count, algorithm, perturbation, seed
@@ -112,7 +112,7 @@ def clock_cases(draw):
 @settings(max_examples=25, deadline=None)
 @given(clock_cases())
 def test_clocks_invariant_to_engine_config(summit_model, case):
-    """Priced clocks are bit-identical across cache/booking/NIC configs.
+    """Priced clocks are bit-identical across plan-cache and NIC configs.
 
     Allreduce schedules compile fresh on every call (never consult the plan
     cache) and post exactly one wire message per round (never batch-booked),
@@ -124,7 +124,6 @@ def test_clocks_invariant_to_engine_config(summit_model, case):
     )
     perturbed_config = {
         "plan_cache": TempiConfig(allreduce_algorithm=algorithm, plan_cache=False),
-        "batch_booking": TempiConfig(allreduce_algorithm=algorithm, batch_booking=False),
         "nic": TempiConfig(allreduce_algorithm=algorithm, nic="inject_only"),
     }[perturbation]
     perturbed = _run_allreduce(

@@ -196,6 +196,28 @@ class TestSendRecvInterposition:
         sends = World(2, ranks_per_node=1).run(program)
         assert sends == [0, 0]  # handled by the system MPI, not TEMPI's send path
 
+    def test_growing_sends_never_reuse_an_undersized_staging_buffer(self, summit_model):
+        """Regression: 70 KiB then 72 KiB both round up to the 128 KiB pool
+        bucket, but the pooled 70 KiB buffer cannot hold the second pack."""
+
+        def program(ctx):
+            comm = interpose(ctx, model=summit_model)
+            received = []
+            for kib in (70, 72):
+                nblocks = kib * 1024 // 64
+                t = comm.Type_commit(Type_vector(nblocks, 64, 128, BYTE))
+                buf = ctx.gpu.malloc(nblocks * 128)
+                if ctx.rank == 0:
+                    buf.data[:] = kib
+                    comm.Send((buf, 1, t), dest=1, tag=kib)
+                else:
+                    comm.Recv((buf, 1, t), source=0, tag=kib)
+                    blocks = buf.data.reshape(nblocks, 128)
+                    received.append(bool((blocks[:, :64] == kib).all()))
+            return received
+
+        assert World(2, ranks_per_node=2).run(program) == [[], [True, True]]
+
 
 class TestOverheadAccounting:
     def test_model_query_overhead_charged(self, summit_model):

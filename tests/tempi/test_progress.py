@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.machine.network import DEFAULT_WIRE_OVERLAP
+from repro.machine.nic import NicTimeline
 from repro.mpi.constructors import Type_contiguous, Type_vector
 from repro.mpi.datatype import BYTE
 from repro.mpi.request import Request
@@ -581,3 +582,59 @@ class TestBcastThroughPlans:
         world = World(4, ranks_per_node=1)
         assert all(world.run(program))
         assert world.nic.reservations == 3  # root → each of 3 peers
+
+
+class TestHomogeneousBatchBooking:
+    """Exchanges of any width >= 2 with one post size book as one NIC batch
+    and price bit-identically to the per-post route of heterogeneous plans."""
+
+    @staticmethod
+    def _run(summit_model, nranks):
+        """Three inline typed ``Ialltoallv`` rounds; the full priced state."""
+        world = World(nranks, ranks_per_node=2)
+        setup = []
+        for ctx in world.contexts:
+            comm = interpose(ctx, TempiConfig(), model=summit_model)
+            datatype = comm.Type_commit(Type_vector(4, 8, 24, BYTE))
+            send = ctx.gpu.malloc(datatype.extent * nranks)
+            recv = ctx.gpu.malloc(datatype.extent * nranks)
+            send.data[:] = (ctx.rank * 7 + np.arange(send.nbytes)) % 251
+            setup.append((comm, datatype, send, recv))
+        for _ in range(3):
+            requests = []
+            for comm, datatype, send, recv in setup:
+                counts = [1] * nranks
+                displs = [peer * datatype.extent for peer in range(nranks)]
+                requests.append(comm.Ialltoallv(
+                    send, counts, displs, recv, counts, displs,
+                    sendtypes=datatype, recvtypes=datatype,
+                ))
+            for request in requests:
+                request.Wait()
+        return (
+            world.nic.state_fingerprint(),
+            tuple(ctx.clock.now for ctx in world.contexts),
+            tuple(ctx.clock.events for ctx in world.contexts),
+            tuple(recv.data.tobytes() for _, _, _, recv in setup),
+        )
+
+    @pytest.mark.parametrize("nranks", [3, 4])
+    def test_two_and_three_post_batches_price_like_the_scalar_route(
+        self, summit_model, monkeypatch, nranks
+    ):
+        shapes = []
+        reserve_batch = NicTimeline.reserve_batch
+
+        def counting(nic, sources, dests, *args, **kwargs):
+            shapes.append(np.shape(dests))
+            return reserve_batch(nic, sources, dests, *args, **kwargs)
+
+        monkeypatch.setattr(NicTimeline, "reserve_batch", counting)
+        batched = self._run(summit_model, nranks)
+        # Every rank books its nranks - 1 wire posts in one call per round.
+        assert shapes == [(1, nranks - 1)] * (3 * nranks)
+        monkeypatch.setattr(ProgressEngine, "batch_capable", property(lambda engine: False))
+        shapes.clear()
+        scalar = self._run(summit_model, nranks)
+        assert shapes == []
+        assert batched == scalar
