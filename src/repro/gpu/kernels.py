@@ -97,7 +97,9 @@ def pack_strided(
             f"packed object of {size} bytes at offset {dst_offset} escapes "
             f"destination of {dst.nbytes} bytes"
         )
-    dst[dst_offset : dst_offset + size] = view.reshape(-1)
+    # Write through a shaped view of the (contiguous) destination slice:
+    # ``view.reshape(-1)`` would first copy the strided view into a temporary.
+    dst[dst_offset : dst_offset + size].reshape(view.shape)[...] = view
     return size
 
 

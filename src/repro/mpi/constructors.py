@@ -24,11 +24,14 @@ from functools import reduce
 from operator import mul
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.mpi.datatype import (
     Combiner,
     Datatype,
     ORDER_C,
     ORDER_FORTRAN,
+    Placement,
     check_datatype,
     check_order,
     check_positive_count,
@@ -39,6 +42,11 @@ from repro.mpi.errors import MpiTypeError
 
 def _product(values: Sequence[int]) -> int:
     return reduce(mul, values, 1)
+
+
+def _origin() -> np.ndarray:
+    """The single row at offset 0."""
+    return np.zeros(1, dtype=np.int64)
 
 
 class DerivedDatatype(Datatype):
@@ -67,6 +75,9 @@ class ContiguousDatatype(DerivedDatatype):
     def child_layout(self) -> Iterator[tuple[int, Datatype]]:
         for i in range(self.count):
             yield (i * self.oldtype.extent, self.oldtype)
+
+    def placements(self) -> tuple[Placement, ...]:
+        return (Placement(_origin(), self.count, self.oldtype.extent, self.oldtype),)
 
     def block_count(self) -> int:
         if self.oldtype.is_contiguous_bytes:
@@ -113,6 +124,10 @@ class VectorDatatype(DerivedDatatype):
             for j in range(self.blocklength):
                 yield (base + j * self.oldtype.extent, self.oldtype)
 
+    def placements(self) -> tuple[Placement, ...]:
+        rows = np.arange(self.count, dtype=np.int64) * self.stride_bytes
+        return (Placement(rows, self.blocklength, self.oldtype.extent, self.oldtype),)
+
     def block_count(self) -> int:
         if self.oldtype.is_contiguous_bytes:
             return 1 if self.stride == self.blocklength else self.count
@@ -158,6 +173,10 @@ class HvectorDatatype(DerivedDatatype):
             base = i * self.stride_bytes
             for j in range(self.blocklength):
                 yield (base + j * self.oldtype.extent, self.oldtype)
+
+    def placements(self) -> tuple[Placement, ...]:
+        rows = np.arange(self.count, dtype=np.int64) * self.stride_bytes
+        return (Placement(rows, self.blocklength, self.oldtype.extent, self.oldtype),)
 
     def block_count(self) -> int:
         if self.oldtype.is_contiguous_bytes:
@@ -249,6 +268,21 @@ class SubarrayDatatype(DerivedDatatype):
 
         yield from recurse(0, 0)
 
+    def placements(self) -> tuple[Placement, ...]:
+        # One row per index of every dimension but the fastest, slowest
+        # first; the fastest dimension (stride one element) is the run.
+        *outer, fastest = reversed(self.fastest_first)
+        rows = _origin()
+        for dim in outer:
+            first = self.starts[dim]
+            indices = np.arange(first, first + self.subsizes[dim], dtype=np.int64)
+            stride = self.dimension_stride_elements(dim)
+            rows = (rows[:, None] + indices[None, :] * stride).reshape(-1)
+        rows = (rows + self.starts[fastest]) * self.oldtype.extent
+        return (
+            Placement(rows, self.subsizes[fastest], self.oldtype.extent, self.oldtype),
+        )
+
     def block_count(self) -> int:
         if not self.oldtype.is_contiguous_bytes:
             return _product(self.subsizes) * self.oldtype.block_count()
@@ -331,6 +365,11 @@ class IndexedDatatype(DerivedDatatype):
             for j in range(blocklength):
                 yield (displacement + j * self.oldtype.extent, self.oldtype)
 
+    def placements(self) -> tuple[Placement, ...]:
+        rows = np.array(self._byte_displacements, dtype=np.int64)
+        inner = np.array(self.blocklengths, dtype=np.int64)
+        return (Placement(rows, inner, self.oldtype.extent, self.oldtype),)
+
     def block_count(self) -> int:
         if self.oldtype.is_contiguous_bytes:
             return len(self.blocklengths)
@@ -385,6 +424,16 @@ class StructDatatype(DerivedDatatype):
             for j in range(blocklength):
                 yield (displacement + j * datatype.extent, datatype)
 
+    def placements(self) -> tuple[Placement, ...]:
+        return tuple(
+            Placement(
+                np.full(1, displacement, dtype=np.int64), blocklength, datatype.extent, datatype
+            )
+            for displacement, blocklength, datatype in zip(
+                self.displacements, self.blocklengths, self.datatypes
+            )
+        )
+
     def block_count(self) -> int:
         total = 0
         for blocklength, datatype in zip(self.blocklengths, self.datatypes):
@@ -427,6 +476,9 @@ class ResizedDatatype(DerivedDatatype):
 
     def child_layout(self) -> Iterator[tuple[int, Datatype]]:
         yield (0, self.oldtype)
+
+    def placements(self) -> tuple[Placement, ...]:
+        return (Placement(_origin(), 1, self.oldtype.extent, self.oldtype),)
 
     def block_count(self) -> int:
         return self.oldtype.block_count()

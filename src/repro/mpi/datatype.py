@@ -12,6 +12,12 @@ constructors in :mod:`repro.mpi.constructors`; this module provides:
 * :class:`NamedDatatype` and the predefined instances (``BYTE``, ``FLOAT``,
   ``DOUBLE`` …).
 
+Every type also flattens to its merged block list once, with NumPy, through
+:meth:`Datatype.blocks`: each constructor states where it places copies of
+its child (:meth:`Datatype.placements`), and the list is memoised on the
+type until ``Free``.  The generator :meth:`Datatype.layout` stays as the
+reference definition of the type map.
+
 ``Commit`` is deliberately a minor operation here: the *system* MPI commits a
 type by doing nothing interesting, exactly like the paper's baseline, and it
 is the TEMPI interposer that attaches an expensive-but-worth-it handler at
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +53,43 @@ class Combiner(enum.Enum):
     HINDEXED = "hindexed"
     STRUCT = "struct"
     RESIZED = "resized"
+
+
+def merge_block_arrays(
+    offsets: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`repro.mpi.typemap.merge_blocks`.
+
+    Rejects negative offsets and lengths, drops zero-length blocks and merges
+    each block into its predecessor when they touch, in the given order (no
+    sorting), so the result is the list of maximal contiguous runs.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if offsets.size and (offsets.min() < 0 or lengths.min() < 0):
+        raise MpiTypeError("type map blocks must have non-negative offset and length")
+    nonzero = lengths != 0
+    if not nonzero.all():
+        offsets, lengths = offsets[nonzero], lengths[nonzero]
+    if offsets.size < 2:
+        return offsets, lengths
+    breaks = np.flatnonzero(offsets[1:] != offsets[:-1] + lengths[:-1]) + 1
+    heads = np.concatenate((np.zeros(1, dtype=np.int64), breaks))
+    return offsets[heads], np.add.reduceat(lengths, heads)
+
+
+class Placement(NamedTuple):
+    """Where a derived type places copies of one child, in type-map order.
+
+    Row ``r`` holds ``inner`` copies of ``child`` at ``rows[r] + j * step``
+    for ``j < inner``; ``inner`` is one count for every row or an array of
+    per-row counts (indexed types).
+    """
+
+    rows: np.ndarray
+    inner: int | np.ndarray
+    step: int
+    child: "Datatype"
 
 
 class Datatype:
@@ -92,6 +135,9 @@ class Datatype:
         #: Arbitrary slot for an interposer to attach a committed handler
         #: (TEMPI stores its packer / strided-block record here).
         self.attachment: Optional[object] = None
+        #: Merged ``(offsets, lengths)`` of one element, built by
+        #: :meth:`blocks` on first use and dropped by ``Free``.
+        self._blocks: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # ----------------------------------------------------------------- basics
     @property
@@ -111,9 +157,7 @@ class Datatype:
 
     def _dense(self) -> bool:
         """Whether the type map covers its extent without gaps (overridable)."""
-        blocks = list(self.layout())
-        covered = sum(length for _, length in blocks)
-        return covered == self.extent
+        return int(self.blocks()[1].sum()) == self.extent
 
     # --------------------------------------------------------------- lifecycle
     def Commit(self) -> "Datatype":
@@ -126,6 +170,7 @@ class Datatype:
         """Release the type (``MPI_Type_free``)."""
         self.freed = True
         self.attachment = None
+        self._blocks = None
 
     def _check_alive(self) -> None:
         if self.freed:
@@ -152,10 +197,61 @@ class Datatype:
         """Yield ``(byte offset, child datatype)`` pairs in type-map order.
 
         Named types yield nothing; derived types yield one entry per child
-        placement.  This is the hook both the flattener and TEMPI's
-        translation use to walk a type without knowing its concrete class.
+        placement.  :meth:`layout` walks a type through this hook without
+        knowing its concrete class.
         """
         raise NotImplementedError
+
+    def placements(self) -> tuple[Placement, ...]:
+        """The child placements of :meth:`child_layout`, as NumPy rows.
+
+        Vectorised like :meth:`block_count`: a vector yields one row per
+        block instead of one entry per child copy.  Named types have no
+        children; they override :meth:`_unmerged_blocks` instead.
+        """
+        raise NotImplementedError
+
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Merged ``(offsets, lengths)`` of one element, as read-only arrays.
+
+        Built once from :meth:`placements` and the children's own blocks,
+        then kept on the type until ``Free``.  Equal to merging
+        :meth:`layout` with :func:`repro.mpi.typemap.merge_blocks`.  Rank
+        threads sharing a type may both build it; they build equal arrays.
+        """
+        memo = self._blocks
+        if memo is None:
+            offsets, lengths = merge_block_arrays(*self._unmerged_blocks())
+            offsets.flags.writeable = False
+            lengths.flags.writeable = False
+            memo = self._blocks = (offsets, lengths)
+        return memo
+
+    def _unmerged_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Blocks of one element in type-map order, before the final merge.
+
+        A run of copies of a one-block child whose block fills the step is
+        emitted as one block, so dense runs never expand to per-byte entries.
+        """
+        offsets: list[np.ndarray] = []
+        lengths: list[np.ndarray] = []
+        for rows, inner, step, child in self.placements():
+            child_offsets, child_lengths = child.blocks()
+            if child_offsets.size == 0:
+                continue
+            counts = np.broadcast_to(np.asarray(inner, dtype=np.int64), rows.shape)
+            if child_offsets.size == 1 and int(child_lengths[0]) == step:
+                offsets.append(rows + child_offsets[0])
+                lengths.append(counts * child_lengths[0])
+                continue
+            firsts = np.cumsum(counts) - counts
+            within = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(firsts, counts)
+            copies = np.repeat(rows, counts) + within * step
+            offsets.append((copies[:, None] + child_offsets[None, :]).reshape(-1))
+            lengths.append(np.tile(child_lengths, copies.size))
+        if not offsets:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.concatenate(offsets), np.concatenate(lengths)
 
     def block_count(self) -> int:
         """Number of maximal contiguous blocks in the type map.
@@ -203,6 +299,9 @@ class NamedDatatype(Datatype):
 
     def child_layout(self) -> Iterator[tuple[int, Datatype]]:
         return iter(())
+
+    def _unmerged_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(1, dtype=np.int64), np.full(1, self.size, dtype=np.int64)
 
     def block_count(self) -> int:
         return 1

@@ -5,17 +5,23 @@ contiguous blocks, where each has an offset and a size" (Sec. 2).  The
 baseline datatype engine and the generic fallback path both work on that
 representation; this module produces it from a :class:`~repro.mpi.datatype.Datatype`.
 
-Two forms are provided:
+Each datatype flattens one element once, with NumPy, into its merged block
+list (:meth:`~repro.mpi.datatype.Datatype.blocks`), which stays on the type
+as read-only arrays until ``Free``.  The functions here are views over that
+memo:
 
-* :func:`flatten` — an iterator of merged ``(offset, length)`` blocks for one
-  element of the type;
-* :func:`flatten_many` — the same for ``count`` elements placed ``extent``
-  bytes apart (the *incount* of ``MPI_Pack`` and friends), with a base offset.
+* :func:`offsets_and_lengths` — block offsets and lengths as arrays for
+  ``count`` elements placed ``extent`` bytes apart (the *incount* of
+  ``MPI_Pack`` and friends);
+* :func:`flatten` / :func:`flatten_many` — the same blocks as an iterator of
+  Python ``(offset, length)`` pairs, shifted by a base offset.
 
 Merging is performed wherever consecutive blocks touch, so the result is the
 list of *maximal* contiguous runs — the number of ``cudaMemcpyAsync`` calls
 the baseline engine issues, and the quantity whose growth explains the
-baseline's collapse in Figs. 8 and 11.
+baseline's collapse in Figs. 8 and 11.  :func:`merge_blocks` over
+:meth:`~repro.mpi.datatype.Datatype.layout` is the reference definition the
+memo must equal.
 """
 
 from __future__ import annotations
@@ -24,14 +30,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.mpi.datatype import Datatype
+from repro.mpi.datatype import Datatype, merge_block_arrays
 from repro.mpi.errors import MpiTypeError
-
-
-def _raw_blocks(datatype: Datatype, base: int = 0) -> Iterator[tuple[int, int]]:
-    """Unmerged type-map blocks of one element, shifted by ``base``."""
-    for offset, length in datatype.layout():
-        yield (base + offset, length)
 
 
 def merge_blocks(blocks: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
@@ -59,9 +59,20 @@ def merge_blocks(blocks: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]
         yield (current_offset, current_length)
 
 
+def _pairs(
+    offsets: np.ndarray, lengths: np.ndarray, base: int
+) -> Iterator[tuple[int, int]]:
+    """Blocks as Python ``(offset, length)`` pairs, shifted by ``base``."""
+    if base:
+        offsets = offsets + base
+        if offsets.size and offsets.min() < 0:
+            raise MpiTypeError("type map blocks must have non-negative offset and length")
+    return zip(offsets.tolist(), lengths.tolist())
+
+
 def flatten(datatype: Datatype, base: int = 0) -> Iterator[tuple[int, int]]:
     """Merged ``(offset, length)`` blocks of one element of ``datatype``."""
-    return merge_blocks(_raw_blocks(datatype, base))
+    return _pairs(*datatype.blocks(), base)
 
 
 def flatten_many(
@@ -72,14 +83,7 @@ def flatten_many(
     Successive elements are placed ``datatype.extent`` bytes apart, as MPI
     requires for count arguments.
     """
-    if count <= 0:
-        raise MpiTypeError(f"count must be positive, got {count}")
-
-    def generate() -> Iterator[tuple[int, int]]:
-        for i in range(count):
-            yield from _raw_blocks(datatype, base + i * datatype.extent)
-
-    return merge_blocks(generate())
+    return _pairs(*offsets_and_lengths(datatype, count), base)
 
 
 def block_count(datatype: Datatype, count: int = 1) -> int:
@@ -110,10 +114,8 @@ def block_lengths_histogram(datatype: Datatype) -> dict[int, int]:
     Useful for the performance model, which interpolates over the contiguous
     block length of a datatype (Sec. 6.3).
     """
-    histogram: dict[int, int] = {}
-    for _, length in flatten(datatype):
-        histogram[length] = histogram.get(length, 0) + 1
-    return histogram
+    lengths, counts = np.unique(datatype.blocks()[1], return_counts=True)
+    return dict(zip(lengths.tolist(), counts.tolist()))
 
 
 def dominant_block_length(datatype: Datatype) -> int:
@@ -131,9 +133,18 @@ def dominant_block_length(datatype: Datatype) -> int:
 
 
 def offsets_and_lengths(datatype: Datatype, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Block offsets and lengths as NumPy arrays (for vectorised block copies)."""
-    pairs = list(flatten_many(datatype, count))
-    if not pairs:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    arr = np.asarray(pairs, dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
+    """Block offsets and lengths as NumPy arrays (for vectorised block copies).
+
+    For one element these are the datatype's memoised, read-only arrays; for
+    more, the element's blocks are tiled at ``extent`` and merged again
+    across element boundaries.
+    """
+    if count <= 0:
+        raise MpiTypeError(f"count must be positive, got {count}")
+    offsets, lengths = datatype.blocks()
+    if count == 1:
+        return offsets, lengths
+    starts = np.arange(count, dtype=np.int64) * datatype.extent
+    return merge_block_arrays(
+        (starts[:, None] + offsets[None, :]).reshape(-1), np.tile(lengths, count)
+    )

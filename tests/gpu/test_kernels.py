@@ -148,6 +148,55 @@ class TestManyObjects:
             kernels.pack_strided_many(src, np.zeros(8, np.uint8), 0, [8], [1], 0, 8)
 
 
+class TestPackMatchesReshapeCopy:
+    """The in-place write equals the old ``dst[a:b] = view.reshape(-1)`` copy."""
+
+    @staticmethod
+    def random_object(rng):
+        ndims = int(rng.integers(1, 4))
+        counts = [int(c) for c in rng.integers(1, 7, size=ndims)]
+        strides = [1]
+        for d in range(1, ndims):
+            strides.append(counts[d - 1] * strides[d - 1] + int(rng.integers(0, 9)))
+        return int(rng.integers(0, 16)), counts, strides
+
+    def test_random_counts_and_strides(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            start, counts, strides = self.random_object(rng)
+            src = make_memory(kernels.required_extent(start, counts, strides) + 8, seed=1)
+            size = kernels.packed_size(counts)
+            offset = int(rng.integers(0, 8))
+            view = np.lib.stride_tricks.as_strided(
+                src[start:], shape=tuple(reversed(counts)), strides=tuple(reversed(strides))
+            )
+            expected = np.full(offset + size + 4, 0xAB, dtype=np.uint8)
+            expected[offset : offset + size] = view.reshape(-1)
+            dst = np.full_like(expected, 0xAB)
+            assert kernels.pack_strided(src, dst, start, counts, strides, offset) == size
+            assert np.array_equal(dst, expected)
+
+    def test_random_many(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            start, counts, strides = self.random_object(rng)
+            count = int(rng.integers(1, 4))
+            extent = kernels.required_extent(0, counts, strides) + int(rng.integers(0, 5))
+            src = make_memory(start + count * extent + 8, seed=2)
+            size = kernels.packed_size(counts)
+            expected = np.zeros(count * size, dtype=np.uint8)
+            for i in range(count):
+                view = np.lib.stride_tricks.as_strided(
+                    src[start + i * extent :],
+                    shape=tuple(reversed(counts)),
+                    strides=tuple(reversed(strides)),
+                )
+                expected[i * size : (i + 1) * size] = view.reshape(-1)
+            dst = np.zeros_like(expected)
+            kernels.pack_strided_many(src, dst, start, counts, strides, count, extent)
+            assert np.array_equal(dst, expected)
+
+
 class TestBlockListCopy:
     def test_gather(self):
         src = make_memory(128, seed=6)

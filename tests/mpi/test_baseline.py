@@ -7,8 +7,8 @@ from repro.gpu.cost_model import SUMMIT_GPU
 from repro.gpu.memory import HostBuffer
 from repro.gpu.runtime import CudaRuntime
 from repro.mpi.baseline import BaselineDatatypeEngine, contiguous_payload
-from repro.mpi.constructors import Type_contiguous, Type_indexed, Type_vector
-from repro.mpi.datatype import BYTE, FLOAT
+from repro.mpi.constructors import DerivedDatatype, Type_contiguous, Type_indexed, Type_vector
+from repro.mpi.datatype import BYTE, FLOAT, NamedDatatype
 from repro.mpi.errors import MpiArgumentError, MpiTypeError
 
 
@@ -58,6 +58,31 @@ class TestPackFunctional:
         repacked = free_runtime.malloc(t.size)
         engine.pack(scattered, t, 1, repacked)
         assert np.array_equal(packed.data, repacked.data)
+
+    def test_warm_round_trip_never_walks_the_type_map(self, engine, free_runtime, monkeypatch):
+        # 1 MiB of 8-B blocks: once the block list is memoised, pack and
+        # unpack must not fall back to the per-byte generator type map.
+        t = strided_type(1 << 17, 8, 16)
+        original = free_runtime.malloc(t.extent)
+        original.data[:] = np.random.default_rng(1).integers(0, 255, original.nbytes, dtype=np.uint8)
+        warm = free_runtime.malloc(t.size)
+        engine.pack(original, t, 1, warm)
+
+        def walked(self):
+            raise AssertionError("per-byte type-map walk on the baseline hot path")
+
+        monkeypatch.setattr(DerivedDatatype, "layout", walked)
+        monkeypatch.setattr(NamedDatatype, "layout", walked)
+        packed = free_runtime.malloc(t.size)
+        engine.pack(original, t, 1, packed)
+        scattered = free_runtime.malloc(t.extent)
+        engine.unpack(packed, 0, scattered, t, 1)
+        repacked = free_runtime.malloc(t.size)
+        engine.pack(scattered, t, 1, repacked)
+        rows = np.lib.stride_tricks.as_strided(original.data, shape=(1 << 17, 8), strides=(16, 1))
+        assert np.array_equal(packed.data, rows.reshape(-1))
+        assert np.array_equal(packed.data, warm.data)
+        assert np.array_equal(repacked.data, packed.data)
 
     def test_multiple_elements(self, engine, free_runtime):
         t = Type_vector(2, 4, 8, BYTE).Commit()  # extent 12+4? -> (1*8+4)=12 bytes

@@ -125,3 +125,45 @@ class TestSizesAndHistograms:
         assert isinstance(offsets, np.ndarray)
         assert offsets.tolist() == [0, 8, 16]
         assert lengths.tolist() == [4, 4, 4]
+
+
+class TestBlockMemo:
+    def test_memo_arrays_are_read_only(self):
+        offsets, lengths = Type_vector(4, 2, 8, FLOAT).blocks()
+        assert not offsets.flags.writeable and not lengths.flags.writeable
+        with pytest.raises(ValueError):
+            offsets[0] = 1
+
+    def test_second_call_reuses_the_memo(self):
+        t = Type_create_subarray([8, 16], [3, 5], [2, 4], ORDER_C, FLOAT)
+        offsets, lengths = typemap.offsets_and_lengths(t)
+        again = typemap.offsets_and_lengths(t)
+        assert again[0] is offsets and again[1] is lengths
+        assert t.blocks()[0] is offsets
+
+    def test_free_drops_the_memo(self):
+        t = Type_indexed([2, 3], [0, 10], FLOAT).Commit()
+        first = t.blocks()
+        t.Free()
+        assert t._blocks is None
+        assert t.blocks()[0] is not first[0]
+
+    def test_many_elements_tile_and_merge_across_boundaries(self):
+        t = Type_vector(2, 1, 4, FLOAT)
+        offsets, lengths = typemap.offsets_and_lengths(t, 2)
+        assert offsets.tolist() == [0, 16, 36]
+        assert lengths.tolist() == [4, 8, 4]
+        assert offsets.flags.writeable
+
+    def test_dense_runs_are_not_expanded_per_byte(self):
+        # A 1 MiB vector of 8-B byte blocks: one block per row, never one
+        # entry per byte, in the memo or on the way to it.
+        t = Type_vector(1 << 17, 8, 16, BYTE)
+        offsets, lengths = t.blocks()
+        assert offsets.size == 1 << 17
+        assert set(lengths.tolist()) == {8}
+        assert offsets[1] - offsets[0] == 16
+
+    def test_negative_base_rejected(self):
+        with pytest.raises(MpiTypeError):
+            list(typemap.flatten(DOUBLE, base=-1))
